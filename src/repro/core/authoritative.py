@@ -19,7 +19,6 @@ is what let the deployment run one global codebase.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -29,7 +28,7 @@ from ..dns.server import Answer, AnswerSource, QueryContext
 from ..dns.wire import Rcode
 from ..edge.customers import CustomerRegistry
 from ..netsim.addr import IPv4, IPv6
-from .policy import PolicyAttributes, PolicyDecision, PolicyEngine
+from .policy import PolicyAttributes, PolicyEngine
 
 if TYPE_CHECKING:
     from ..obs.trace import TraceRecorder
@@ -45,10 +44,6 @@ class PolicyAnswerLog:
     fallback_answers: int = 0
     refused: int = 0
     by_policy: dict[str, int] = field(default_factory=dict)
-
-    def record_policy(self, name: str) -> None:
-        self.policy_answers += 1
-        self.by_policy[name] = self.by_policy.get(name, 0) + 1
 
 
 class PolicyAnswerSource(AnswerSource):
@@ -81,126 +76,85 @@ class PolicyAnswerSource(AnswerSource):
         self.fallback = fallback
         self.log = PolicyAnswerLog()
         #: Optional :class:`~repro.obs.trace.TraceRecorder`: when set, every
-        #: policy-path answer emits query → policy_match → mint spans (the
+        #: A/AAAA answer records policy_match → mint → query spans (the
         #: §3.2 steps, observable per query).
         self.tracer = tracer
         self._rng = rng or random.Random(0x5EED)
 
     def answer(self, question: Question, context: QueryContext) -> Answer:
-        if question.rrtype not in (RRType.A, RRType.AAAA):
-            return self._fall_through(question, context)
-
-        hostname = str(question.name).rstrip(".")
-        account = self.registry.account_type_for(hostname)
-        attrs = PolicyAttributes(
-            pop=context.pop,
-            account_type=account.value if account is not None else None,
-            family=IPv4 if question.rrtype == RRType.A else IPv6,
-            hostname=hostname,
-            client_subnet=context.client_subnet,
-        )
-        if self.tracer is None:
-            decision = self.engine.evaluate(attrs)
-            if decision is None:
-                return self._fall_through(question, context)
-            return self._policy_answer(question, decision)
-
-        trace = self.tracer.next_trace_id("query")
-        with self.tracer.span(trace, "query", hostname):
-            with self.tracer.span(trace, "policy_match"):
-                decision = self.engine.evaluate(attrs)
-            if decision is None:
-                return self._fall_through(question, context)
-            with self.tracer.span(trace, "mint", decision.policy.name):
-                return self._policy_answer(question, decision)
+        """:meth:`answer_batch` of one."""
+        return self.answer_batch((question,), context)[0]
 
     def answer_batch(
         self, questions: Sequence[Question], context: QueryContext
     ) -> list[Answer]:
-        """Batched :meth:`answer`: one policy-engine batch call, log
-        counters folded once.
+        """Answer questions sharing one context, in order.
 
-        A traced source stays on the per-question path — spans are a
-        per-query artefact, and batching them would change the recorded
-        topology (this is a documented batch-of-one delegation exception;
-        see DESIGN.md §12).  The untraced hot path evaluates every
-        policy-eligible question through one
+        Every A/AAAA question goes through one
         :meth:`~repro.core.policy.PolicyEngine.evaluate_batch` call; the
-        RNG draw order matches the scalar loop because fallback answers
-        never touch the engine RNG.
-        """
-        if self.tracer is not None:
-            answer = self.answer
-            return [answer(question, context) for question in questions]
+        RNG draw order matches answering one question at a time because
+        fallback answers never touch the engine RNG.  The log counts each
+        answer as it is made, so a failure part-way leaves the counts of
+        the answers already made.
 
+        With a tracer, each A/AAAA question records its spans in exit
+        order: policy_match, mint (policy answers only), query.  Answering
+        takes no simulated time, so each is a zero-length mark at the
+        current instant — what a span wrapped around the step would
+        measure — and a traced batch runs this same loop.
+        """
         registry = self.registry
         pop = context.pop
         client_subnet = context.client_subnet
-        attrs_list: list[PolicyAttributes] = []
-        eligible: list[int] = []
-        for i, question in enumerate(questions):
-            if question.rrtype not in (RRType.A, RRType.AAAA):
+        per_question: list[PolicyAttributes | None] = []
+        eligible: list[PolicyAttributes] = []
+        for question in questions:
+            rrtype = question.rrtype
+            if rrtype != RRType.A and rrtype != RRType.AAAA:
+                per_question.append(None)
                 continue
             hostname = str(question.name).rstrip(".")
             account = registry.account_type_for(hostname)
-            attrs_list.append(
-                PolicyAttributes(
-                    pop=pop,
-                    account_type=account.value if account is not None else None,
-                    family=IPv4 if question.rrtype == RRType.A else IPv6,
-                    hostname=hostname,
-                    client_subnet=client_subnet,
-                )
+            attrs = PolicyAttributes(
+                pop=pop,
+                account_type=account.value if account is not None else None,
+                family=IPv4 if rrtype == RRType.A else IPv6,
+                hostname=hostname,
+                client_subnet=client_subnet,
             )
-            eligible.append(i)
+            per_question.append(attrs)
+            eligible.append(attrs)
 
-        decisions: dict[int, PolicyDecision | None] = dict(
-            zip(eligible, self.engine.evaluate_batch(attrs_list))
-        )
+        decisions = iter(self.engine.evaluate_batch(eligible))
+        tracer = self.tracer
         fallback = self.fallback
-        policy_answers = fallback_answers = refused = 0
-        by_policy: Counter[str] = Counter()
+        log = self.log
+        by_policy = log.by_policy
         answers: list[Answer] = []
         append = answers.append
-        try:
-            for i, question in enumerate(questions):
-                decision = decisions.get(i)
+        for question, attrs in zip(questions, per_question):
+            decision = None if attrs is None else next(decisions)
+            if tracer is not None and attrs is not None:
+                trace = tracer.next_trace_id("query")
+                tracer.mark(trace, "policy_match")
                 if decision is not None:
-                    rdata = (
-                        A(decision.address)
-                        if question.rrtype == RRType.A
-                        else AAAA(decision.address)
-                    )
-                    record = ResourceRecord(question.name, rdata, ttl=decision.ttl)
-                    policy_answers += 1
-                    by_policy[decision.policy.name] += 1
-                    append(Answer(Rcode.NOERROR, records=(record,)))
-                elif fallback is None:
-                    refused += 1
-                    append(Answer(Rcode.REFUSED))
-                else:
-                    fallback_answers += 1
-                    append(fallback.answer(question, context))
-        finally:
-            log = self.log
-            log.policy_answers += policy_answers
-            log.fallback_answers += fallback_answers
-            log.refused += refused
-            for name, n in by_policy.items():
-                log.by_policy[name] = log.by_policy.get(name, 0) + n
+                    tracer.mark(trace, "mint", decision.policy.name)
+                tracer.mark(trace, "query", attrs.hostname)
+            if decision is not None:
+                rdata = (
+                    A(decision.address)
+                    if question.rrtype == RRType.A
+                    else AAAA(decision.address)
+                )
+                record = ResourceRecord(question.name, rdata, ttl=decision.ttl)
+                name = decision.policy.name
+                log.policy_answers += 1
+                by_policy[name] = by_policy.get(name, 0) + 1
+                append(Answer(Rcode.NOERROR, records=(record,)))
+            elif fallback is None:
+                log.refused += 1
+                append(Answer(Rcode.REFUSED))
+            else:
+                log.fallback_answers += 1
+                append(fallback.answer(question, context))
         return answers
-
-    # -- internals -------------------------------------------------------------
-
-    def _policy_answer(self, question: Question, decision: PolicyDecision) -> Answer:
-        rdata = A(decision.address) if question.rrtype == RRType.A else AAAA(decision.address)
-        record = ResourceRecord(question.name, rdata, ttl=decision.ttl)
-        self.log.record_policy(decision.policy.name)
-        return Answer(Rcode.NOERROR, records=(record,))
-
-    def _fall_through(self, question: Question, context: QueryContext) -> Answer:
-        if self.fallback is None:
-            self.log.refused += 1
-            return Answer(Rcode.REFUSED)
-        self.log.fallback_answers += 1
-        return self.fallback.answer(question, context)

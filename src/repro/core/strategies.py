@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ..hashing import fnv1a64
 from ..netsim.addr import IPAddress
 from .pool import AddressPool
 
@@ -63,14 +64,6 @@ class RandomSelection(SelectionStrategy):
         return pool.random_address(rng)
 
 
-def _fnv(text: str) -> int:
-    h = 0xCBF29CE484222325
-    for byte in text.encode():
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
 class HashedAssignment(SelectionStrategy):
     """hostname-hash → stable pool index.
 
@@ -81,7 +74,7 @@ class HashedAssignment(SelectionStrategy):
     """
 
     def select(self, pool: AddressPool, ctx: SelectionContext, rng: random.Random) -> IPAddress:
-        return pool.address_at(_fnv(ctx.hostname.lower().rstrip(".")) % pool.size)
+        return pool.address_at(fnv1a64(ctx.hostname.lower().rstrip(".").encode()) % pool.size)
 
 
 class StaticAssignment(SelectionStrategy):
@@ -130,7 +123,8 @@ class PerPopAssignment(SelectionStrategy):
     def address_for_pop(self, pool: AddressPool, pop: str) -> IPAddress:
         index = self._index.get(pop)
         if index is None:
-            index = len(self._index) + (_fnv(pop) % max(1, pool.size - len(self._index)))
+            overflow = max(1, pool.size - len(self._index))
+            index = len(self._index) + fnv1a64(pop.encode()) % overflow
         return pool.address_at(index % pool.size)
 
     def select(self, pool: AddressPool, ctx: SelectionContext, rng: random.Random) -> IPAddress:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from ..hashing import fnv1a64, splitmix64
 from ..web.http import Request, Response, Status
 from ..web.origin import OriginPool
 
@@ -76,16 +77,12 @@ class CacheNode:
 
 
 def _hrw(node: str, key: tuple[str, str]) -> int:
-    h = 0xCBF29CE484222325
-    for piece in (node, key[0], key[1]):
-        for byte in piece.encode():
-            h ^= byte
-            h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        h ^= 0xFF
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    # Avalanche finalizer: similar node names must not correlate weights.
-    from .ecmp import _splitmix64
-    return _splitmix64(h)
+    """Rendezvous weight of ``node`` for ``key``: FNV-1a over the three
+    fields, each closed by a 0xFF byte (never valid UTF-8, so the fields
+    cannot run together), then the splitmix64 avalanche so similar node
+    names do not correlate weights."""
+    fields = b"%s\xff%s\xff%s\xff" % (node.encode(), key[0].encode(), key[1].encode())
+    return splitmix64(fnv1a64(fields))
 
 
 class DistributedCache:

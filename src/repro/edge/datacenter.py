@@ -218,7 +218,7 @@ class Datacenter:
         self._chaos_rng = random.Random(stable_hash("dc-ingress", name) & 0xFFFFFFFF)
         #: Optional :class:`~repro.obs.trace.TraceRecorder` (set by
         #: ``CDN.attach_observability``): when present, every connection
-        #: emits ecmp → dispatch spans and every request a serve span.
+        #: records ecmp → dispatch spans and every request a serve span.
         self.tracer = None
         self._conn_owner: dict[int, str] = {}
         self._conn_trace: dict[int, str] = {}
@@ -312,53 +312,32 @@ class Datacenter:
 
     def connect(self, tuple5: FiveTuple, hello: ClientHello, version: HTTPVersion) -> Connection:
         """Ingress pipeline for a new connection: ECMP → L4LB → server.
-
-        The flow hash is computed exactly once per SYN and reused for both
-        ECMP fan-out and (inside the server's handshake) listener
-        selection; it used to be recomputed at each stage.
-        """
-        self._admit_ingress(tuple5)
-        syn = Packet(tuple5, syn=True)
-        fh = flow_hash(syn)
-        if self.tracer is None:
-            ecmp_choice = self.ecmp.route(syn, flow_hash_value=fh)
-            owner = self.l4lb.admit(syn, ecmp_choice)
-            connection = self.servers[owner].handshake(tuple5, hello, version, flow_hash=fh)
-        else:
-            trace = self.tracer.next_trace_id(f"conn@{self.name}")
-            with self.tracer.span(trace, "ecmp"):
-                ecmp_choice = self.ecmp.route(syn, flow_hash_value=fh)
-            # sk_lookup steering and TLS termination both happen inside
-            # the server's handshake — one span covers the dispatch hop.
-            with self.tracer.span(trace, "dispatch", ecmp_choice):
-                owner = self.l4lb.admit(syn, ecmp_choice)
-                connection = self.servers[owner].handshake(tuple5, hello, version, flow_hash=fh)
-            self._conn_trace[connection.conn_id] = trace
-        self._conn_owner[connection.conn_id] = owner
-        self._conn_sampled[connection.conn_id] = self.traffic.record_connection(tuple5.dst)
-        return connection
+        :meth:`connect_batch` of one."""
+        return self.connect_batch(((tuple5, hello, version),))[0]
 
     def connect_batch(
         self,
         requests: Sequence[tuple[FiveTuple, ClientHello, HTTPVersion]],
         flow_hashes: Sequence[int] | None = None,
     ) -> list[Connection]:
-        """Batched ingress: one flow hash per SYN, shared across ECMP and
-        listener selection, with ECMP and traffic-log accounting folded in
-        once per batch rather than incremented per connection.
+        """Ingress for many connections: one flow hash per SYN, shared
+        across ECMP and listener selection, with ECMP and traffic-log
+        accounting folded in once per batch rather than incremented per
+        connection.
 
         ``flow_hashes`` — parallel to ``requests`` — reuses hashes the flow
         engine computed up front (one vectorised pass over the whole
         batch); a mismatched column raises :class:`BatchShapeError`.
 
-        Semantics match :meth:`connect` in a loop, minus per-connection
-        trace spans (batch callers are throughput experiments; span
-        recording per packet would dominate what they measure).  Counter
-        parity holds under partial failure too: the folds run in a
-        ``finally``, and within each item accounting is ordered as the
-        scalar path orders it — the ECMP choice counts even when the
-        handshake then refuses, the connection sample flips only after the
-        handshake succeeds.
+        With a tracer, each SYN past the ingress gate records ecmp →
+        dispatch spans (dispatch covers L4LB, sk_lookup steering and TLS
+        termination, all inside the handshake) as zero-length marks, since
+        ingress takes no simulated time; a refused handshake still records
+        both.  Counter parity holds under partial failure: the folds run
+        in a ``finally``, and within each item accounting is ordered as
+        one connection at a time orders it — the ECMP choice counts even
+        when the handshake then refuses, the connection sample flips only
+        after the handshake succeeds.
         """
         if flow_hashes is not None and len(flow_hashes) != len(requests):
             raise BatchShapeError(
@@ -369,6 +348,7 @@ class Datacenter:
         admit = self.l4lb.admit
         servers = self.servers
         conn_owner = self._conn_owner
+        tracer = self.tracer
         choices: list[str] = []
         dsts: list[IPAddress] = []
         connections: list[Connection] = []
@@ -380,9 +360,15 @@ class Datacenter:
                 fh = flow_hash(syn) if flow_hashes is None else flow_hashes[i]
                 ecmp_choice = choose(fh)
                 choices.append(ecmp_choice)
+                if tracer is not None:
+                    trace = tracer.next_trace_id(f"conn@{self.name}")
+                    tracer.mark(trace, "ecmp")
+                    tracer.mark(trace, "dispatch", ecmp_choice)
                 owner = admit(syn, ecmp_choice)
                 connection = servers[owner].handshake(tuple5, hello, version, flow_hash=fh)
                 conn_owner[connection.conn_id] = owner
+                if tracer is not None:
+                    self._conn_trace[connection.conn_id] = trace
                 dsts.append(tuple5.dst)
                 append(connection)
         finally:
@@ -394,35 +380,22 @@ class Datacenter:
         return connections
 
     def serve(self, connection: Connection, request: Request) -> Response:
-        owner = self._conn_owner.get(connection.conn_id)
-        if owner is None:
-            raise RuntimeError(
-                f"connection {connection.conn_id} was not established at {self.name}"
-            )
-        trace = self._conn_trace.get(connection.conn_id) if self.tracer else None
-        if trace is None:
-            response = self.servers[owner].serve(connection, request)
-        else:
-            with self.tracer.span(trace, "serve", request.path):
-                response = self.servers[owner].serve(connection, request)
-        self.traffic.record_request(
-            connection.remote_addr,
-            response.body_len,
-            sampled=self._conn_sampled.get(connection.conn_id),
-        )
-        return response
+        """:meth:`serve_batch` of one."""
+        return self.serve_batch(((connection, request),))[0]
 
     def serve_batch(
         self, pairs: Sequence[tuple[Connection, Request]]
     ) -> list[Response]:
-        """Serve many (connection, request) pairs; ``serve`` in a loop with
-        the per-request dict probes and trace plumbing hoisted out and the
-        traffic-log fold deferred to once per batch (in a ``finally``, so
-        requests served before a mid-batch failure are still counted, as
-        the scalar loop would have counted them)."""
+        """Serve (connection, request) pairs in order, with the traffic-log
+        fold deferred to once per batch (in a ``finally``, so requests
+        served before a mid-batch failure are still counted).  With a
+        tracer, each request on a traced connection records a zero-length
+        serve span."""
         conn_owner = self._conn_owner
         conn_sampled = self._conn_sampled
+        conn_trace = self._conn_trace
         servers = self.servers
+        tracer = self.tracer
         records: list[tuple[IPAddress, int, bool | None]] = []
         responses: list[Response] = []
         append = responses.append
@@ -433,6 +406,10 @@ class Datacenter:
                     raise RuntimeError(
                         f"connection {connection.conn_id} was not established at {self.name}"
                     )
+                if tracer is not None:
+                    trace = conn_trace.get(connection.conn_id)
+                    if trace is not None:
+                        tracer.mark(trace, "serve", request.path)
                 response = servers[owner].serve(connection, request)
                 records.append(
                     (

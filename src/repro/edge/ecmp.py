@@ -22,8 +22,8 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
+from ..hashing import fnv1a64, splitmix64
 from ..netsim.packet import Packet
-from ..sockets.errors import BatchShapeError
 from ..sockets.lookup import flow_hash
 
 __all__ = ["ECMPRouter", "EcmpStats", "UnknownServerError"]
@@ -33,26 +33,11 @@ class UnknownServerError(LookupError):
     """Membership change targeting a server this ECMP group never had."""
 
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _splitmix64(x: int) -> int:
-    """Finalizer with full avalanche — plain FNV mixing is not enough here:
-    similar server names ("s7"/"s8") otherwise produce correlated weights
-    and skew the HRW argmax."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
 def _hrw_weight(server: str, fh: int) -> int:
-    """Combine server identity with the flow hash."""
-    h = 0xCBF29CE484222325
-    for byte in server.encode():
-        h ^= byte
-        h = (h * 0x100000001B3) & _MASK64
-    return _splitmix64(h ^ fh)
+    """Combine server identity with the flow hash.  The splitmix64
+    avalanche matters: plain FNV of similar server names ("s7"/"s8")
+    gives correlated weights that skew the HRW argmax."""
+    return splitmix64(fnv1a64(server.encode()) ^ fh)
 
 
 @dataclass(slots=True)
@@ -60,14 +45,10 @@ class EcmpStats:
     routed: int = 0
     per_server: dict[str, int] = field(default_factory=dict)
 
-    def record(self, server: str) -> None:
-        self.routed += 1
-        self.per_server[server] = self.per_server.get(server, 0) + 1
-
     def fold(self, choices: Sequence[str]) -> None:
-        """Fold a whole batch of routing decisions in at once — the hot
-        loop makes stateless picks and accounting happens per batch, not
-        per packet.  Equivalent to :meth:`record` per choice."""
+        """Fold routing decisions in at once — the hot loop makes
+        stateless picks and accounting happens per batch, not per
+        packet; :meth:`ECMPRouter.route` folds a batch of one."""
         self.routed += len(choices)
         per_server = self.per_server
         for server, n in Counter(choices).items():
@@ -128,7 +109,7 @@ class ECMPRouter:
 
         Batch drivers call this per flow and fold accounting once per
         batch (:meth:`EcmpStats.fold`); :meth:`route` composes pick and
-        record for the scalar path.
+        fold for one packet.
 
         Weight ties break on the server *name*, never on list position:
         HRW's minimal-remap guarantee is a property of the (server, flow)
@@ -146,48 +127,10 @@ class ECMPRouter:
         """Pick the server for a packet's flow; deterministic per 5-tuple.
 
         ``flow_hash_value`` reuses a hash the ingress pipeline already
-        computed — the hot path hashes each packet exactly once.  This is
-        :meth:`route_batch` of one: scalar routing delegates to the batch
-        machinery so the two paths cannot drift.
+        computed — the hot path hashes each packet exactly once.  Counts
+        through :meth:`EcmpStats.fold`, the accounting batch callers use.
         """
         fh = flow_hash(packet) if flow_hash_value is None else flow_hash_value
         chosen = self.choose(fh)
-        self.stats.record(chosen)
+        self.stats.fold((chosen,))
         return chosen
-
-    def route_batch(
-        self,
-        packets: Sequence[Packet],
-        flow_hashes: Sequence[int] | None = None,
-    ) -> list[str]:
-        """Route a batch of packets; stats folded once per batch.
-
-        ``flow_hashes`` — parallel to ``packets`` — reuses hashes the flow
-        engine computed up front (one vectorised pass per batch); a
-        mismatched column raises :class:`BatchShapeError`.  Identical
-        decisions and identical final counters to :meth:`route` in a loop,
-        including on partial failure: choices made before an exception are
-        still folded in.
-        """
-        if flow_hashes is not None and len(flow_hashes) != len(packets):
-            raise BatchShapeError(
-                "ECMPRouter.route_batch", "flow_hashes must parallel packets",
-                {"packets": len(packets), "flow_hashes": len(flow_hashes)},
-            )
-        choose = self.choose
-        choices: list[str] = []
-        append = choices.append
-        try:
-            if flow_hashes is None:
-                for packet in packets:
-                    append(choose(flow_hash(packet)))
-            else:
-                for fh in flow_hashes:
-                    append(choose(fh))
-        finally:
-            self.stats.fold(choices)
-        return choices
-
-    def route_tuple(self, tuple5) -> str:
-        """Route by 5-tuple without constructing a Packet."""
-        return self.route(Packet(tuple5))

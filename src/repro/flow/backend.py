@@ -2,8 +2,9 @@
 
 The engine computes every flow hash exactly once per batch and threads the
 column through ECMP, L4LB, listener selection, and dispatch.  The hash is
-the FNV-1a chain of :func:`repro.sockets.lookup.flow_hash_tuple`; the
-numpy backend reimplements that chain over ``uint64`` arrays and must be
+:func:`repro.sockets.lookup.flow_hash_tuple`: :func:`repro.hashing.fnv1a64`
+fed 64-bit words instead of bytes.  The numpy backend vectorises that
+chain over ``uint64`` arrays, with the same constants, and must be
 **bit-exact** — ECMP fan-out and SO_REUSEPORT member selection both key on
 the hash value, so a backend that disagreed in even one bit would steer
 flows to different servers depending on which backend computed it.  The
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from ..hashing import FNV_OFFSET, FNV_PRIME, MASK64
 from ..netsim.packet import FiveTuple
 from ..sockets.lookup import flow_hash_tuple
 
@@ -27,11 +29,6 @@ __all__ = [
     "NumpyHashBackend",
     "default_backend",
 ]
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-
 
 class FlowHashBackend:
     """Strategy interface: hash a column of 5-tuples."""
@@ -74,13 +71,13 @@ class NumpyHashBackend(FlowHashBackend):
         n = len(tuple5s)
         if n == 0:
             return []
-        h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
-        prime = np.uint64(_FNV_PRIME)
+        h = np.full(n, FNV_OFFSET, dtype=np.uint64)
+        prime = np.uint64(FNV_PRIME)
         for lo_of, hi_of in (
             (lambda t: int(t.protocol.wire_protocol), lambda t: 0),
-            (lambda t: t.src.value & _MASK64, lambda t: t.src.value >> 64),
+            (lambda t: t.src.value & MASK64, lambda t: t.src.value >> 64),
             (lambda t: t.src_port, lambda t: 0),
-            (lambda t: t.dst.value & _MASK64, lambda t: t.dst.value >> 64),
+            (lambda t: t.dst.value & MASK64, lambda t: t.dst.value >> 64),
             (lambda t: t.dst_port, lambda t: 0),
         ):
             lo = np.fromiter((lo_of(t) for t in tuple5s), dtype=np.uint64, count=n)

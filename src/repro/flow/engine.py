@@ -26,7 +26,7 @@ serve
     traffic-log request accounting folds once.
 
 :meth:`FlowEngine.run_scalar` is the loop-of-scalars reference — same
-deployment seams, no batching anywhere — and exists so the differential
+deployment seams, called one item at a time — and exists so the differential
 suite can assert batched ≡ scalar on every verdict column and every
 counter surface.
 """

@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 
+from ..hashing import fnv1a64
 from .addr import IPAddress, Prefix
 
 __all__ = [
@@ -195,11 +196,7 @@ def _stable_rank(label: object) -> float:
 
 def hash_to_unit(text: str) -> float:
     """Map a string to [0, 1) deterministically (FNV-1a based)."""
-    h = 0xCBF29CE484222325
-    for byte in text.encode():
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h / 2**64
+    return fnv1a64(text.encode()) / 2**64
 
 
 class ExportPolicy:

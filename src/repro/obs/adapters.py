@@ -123,11 +123,12 @@ def watch_sklookup(registry: MetricsRegistry, prefix: str, program: "SkLookupPro
 
 
 def watch_lookup_path(registry: MetricsRegistry, prefix: str, path: "LookupPath") -> None:
-    """Per-stage dispatch counters plus the batch-path accounting.
+    """Per-stage dispatch counters plus the dispatch-call accounting.
 
     Covers the Figure 5a pipeline: packets resolved per stage (connected /
-    sk_lookup / listener / wildcard / dropped / miss), how many batches the
-    batched entry point ran, and how many packets they carried."""
+    sk_lookup / listener / wildcard / dropped / miss), how many dispatch
+    calls ran (``batches``: a scalar ``dispatch`` is a batch of one, so
+    every call counts), and how many packets they carried."""
 
     def collect() -> dict[str, int | float]:
         out: dict[str, int | float] = {
@@ -147,13 +148,14 @@ def time_lookup_path(
     path: "LookupPath",
     timer: "Callable[[], float]",
 ):
-    """Attach a dispatch-latency histogram to a lookup path's batch entry.
+    """Attach a dispatch-latency histogram to a lookup path.
 
     ``timer`` is a float-seconds callable — benchmarks pass
     ``time.perf_counter``.  It is *injected* rather than imported here so
     simulation code stays wall-clock-free (the DT001 lint runs over this
     package); only measurement harnesses opt into real time.  Each
-    ``dispatch_batch`` call observes its mean per-packet latency.
+    ``dispatch_batch`` call — a scalar ``dispatch`` is a batch of one —
+    observes its mean per-packet latency.
     """
     hist = registry.histogram(
         name,

@@ -19,10 +19,13 @@ Two engines execute the sk_lookup stage:
 
 Both produce identical verdicts and identical program stats; the
 differential property suite enforces it.  :meth:`LookupPath.dispatch_batch`
-is the high-throughput entry: compiled forms are fetched once per batch
-(not per packet), flow hashes can be supplied precomputed so the edge
-pipeline hashes each packet exactly once, and per-batch counters plus an
-optional dispatch-latency histogram feed :mod:`repro.obs`.
+is the one dispatch implementation (:meth:`~LookupPath.dispatch` is a
+batch of one): compiled forms are fetched once per batch (not per
+packet), flow hashes can be supplied precomputed so the edge pipeline
+hashes each packet exactly once, and per-call counters plus an optional
+dispatch-latency histogram feed :mod:`repro.obs`.  The flow hash itself
+is :func:`repro.hashing.fnv1a64` over 64-bit words
+(:func:`flow_hash_tuple`).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import enum
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+from ..hashing import MASK64, fnv1a64
 from ..netsim.packet import FiveTuple, Packet
 from .errors import BatchShapeError, ProgramNotAttachedError
 from .sklookup import SkLookupProgram, Verdict
@@ -87,22 +91,22 @@ def flow_hash(packet: Packet) -> int:
 
 def flow_hash_tuple(t: FiveTuple) -> int:
     """:func:`flow_hash` on a bare 5-tuple — the form the columnar flow
-    engine uses, since its batches carry tuple columns, not Packets.  The
-    numpy backend (:mod:`repro.flow.backend`) reimplements exactly this
-    chain over uint64 arrays; the differential suite pins bit-equality."""
-    h = 0xCBF29CE484222325
-    for part in (
-        int(t.protocol.wire_protocol),
-        t.src.value,
-        t.src_port,
-        t.dst.value,
-        t.dst_port,
-    ):
-        h ^= part & 0xFFFFFFFFFFFFFFFF
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        h ^= part >> 64  # fold in the high bits of IPv6 addresses
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
+    engine uses, since its batches carry tuple columns, not Packets.
+
+    :func:`repro.hashing.fnv1a64` over 64-bit words: each part
+    (protocol, src, sport, dst, dport) contributes its low and its high
+    64 bits, the high word non-zero only for IPv6 addresses.  The numpy
+    backend (:mod:`repro.flow.backend`) vectorises exactly this chain over
+    uint64 arrays; the differential suite pins bit-equality."""
+    src = t.src.value
+    dst = t.dst.value
+    return fnv1a64((
+        int(t.protocol.wire_protocol), 0,
+        src & MASK64, src >> 64,
+        t.src_port, 0,
+        dst & MASK64, dst >> 64,
+        t.dst_port, 0,
+    ))
 
 
 class LookupPath:
@@ -118,7 +122,8 @@ class LookupPath:
         self.engine = Engine(engine)
         self._programs: list[SkLookupProgram] = []
         self.stage_counts: dict[LookupStage, int] = {stage: 0 for stage in LookupStage}
-        #: Batch accounting, read by :func:`repro.obs.adapters.watch_lookup_path`.
+        #: Dispatch-call accounting (a scalar :meth:`dispatch` is a batch of
+        #: one), read by :func:`repro.obs.adapters.watch_lookup_path`.
         self.batches = 0
         self.batch_packets = 0
         #: Optional dispatch-latency hookup (see
@@ -126,7 +131,7 @@ class LookupPath:
         #: float-seconds callable supplied by *measurement* code — the
         #: simulation itself never reads the wall clock — and
         #: ``latency_hist`` receives one mean-per-packet observation per
-        #: batch.
+        #: dispatch call.
         self.timer: Callable[[], float] | None = None
         self.latency_hist = None
 
@@ -154,8 +159,8 @@ class LookupPath:
     def _runners(self) -> list[Callable[[Packet], tuple[Verdict, Socket | None]]]:
         """Per-program executors for the configured engine.
 
-        Fetched once per dispatch call (once per *batch* on the batch
-        path), which is also where compiled-form invalidation is checked —
+        Fetched once per :meth:`dispatch_batch` call, which is also where
+        compiled-form invalidation is checked —
         rule changes mid-batch are not observed, exactly like a kernel
         program swap is atomic per packet.
         """
@@ -177,12 +182,11 @@ class LookupPath:
         measure pure dispatch cost without queue churn.  ``flow_hash``
         reuses a hash the caller already computed (ECMP ingress computes
         it for routing; listener selection must not pay for it twice).
+        :meth:`dispatch_batch` of one.
         """
-        result = self._lookup(packet, self._runners(), flow_hash)
-        self.stage_counts[result.stage] += 1
-        if deliver and result.socket is not None:
-            result.socket.deliver(packet)
-        return result
+        return self.dispatch_batch(
+            (packet,), deliver, None if flow_hash is None else (flow_hash,)
+        )[0]
 
     def dispatch_batch(
         self,
@@ -193,18 +197,19 @@ class LookupPath:
         """Dispatch many packets through one engine/program setup.
 
         The batch entry point hoists per-packet overhead: compiled program
-        forms (and their invalidation check) are fetched once, stage
-        counters are folded in once, and ``flow_hashes`` — parallel to
-        ``packets`` — lets the edge pipeline reuse the hashes its ECMP
-        stage already computed.  Returns one :class:`DispatchResult` per
-        packet, in order; semantics are exactly ``dispatch`` in a loop.
+        forms (and their invalidation check) are fetched once, and
+        ``flow_hashes`` — parallel to ``packets`` — lets the edge pipeline
+        reuse the hashes its ECMP stage already computed.  Returns one
+        :class:`DispatchResult` per packet, in order.
 
         ``flow_hashes`` must be exactly as long as ``packets``: a shorter
         (or longer) column raises :class:`BatchShapeError` up front.  The
         old ``zip`` silently dropped the unpaired tail — those packets were
         never dispatched, never delivered, and never counted.
         """
-        if flow_hashes is not None and len(flow_hashes) != len(packets):
+        if flow_hashes is None:
+            flow_hashes = (None,) * len(packets)
+        elif len(flow_hashes) != len(packets):
             raise BatchShapeError(
                 "dispatch_batch", "flow_hashes must parallel packets",
                 {"packets": len(packets), "flow_hashes": len(flow_hashes)},
@@ -213,28 +218,19 @@ class LookupPath:
         started = timer() if timer is not None else 0.0
         runners = self._runners()
         lookup = self._lookup
+        counts = self.stage_counts
         results: list[DispatchResult] = []
         append = results.append
         try:
-            if flow_hashes is None:
-                for packet in packets:
-                    result = lookup(packet, runners, None)
-                    append(result)
-                    if deliver and result.socket is not None:
-                        result.socket.deliver(packet)
-            else:
-                for packet, fh in zip(packets, flow_hashes):
-                    result = lookup(packet, runners, fh)
-                    append(result)
-                    if deliver and result.socket is not None:
-                        result.socket.deliver(packet)
-        finally:
-            # Fold in a finally so a mid-batch failure (a program raising)
-            # leaves the same counters a scalar loop would have left for
-            # the packets that did dispatch.
-            counts = self.stage_counts
-            for result in results:
+            for packet, fh in zip(packets, flow_hashes):
+                result = lookup(packet, runners, fh)
                 counts[result.stage] += 1
+                append(result)
+                if deliver and result.socket is not None:
+                    result.socket.deliver(packet)
+        finally:
+            # A mid-batch failure (a program raising) still accounts for
+            # the packets that did dispatch.
             self.batches += 1
             self.batch_packets += len(results)
         if timer is not None and self.latency_hist is not None and results:

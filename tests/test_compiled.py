@@ -339,15 +339,16 @@ class TestDispatchBatch:
 
     def test_stage_counts_invariant(self):
         """One packet, one stage tick: Σ stage_counts == packets dispatched,
-        however the packets were fed in."""
+        however the packets were fed in.  A scalar dispatch is a batch of
+        one, so every dispatch call counts as a batch."""
         path, _ = self.build_path()
         packets = self.batch()
         path.dispatch_batch(packets[:150], deliver=False)
         for p in packets[150:]:
             path.dispatch(p, deliver=False)
         assert sum(path.stage_counts.values()) == len(packets)
-        assert path.batches == 1
-        assert path.batch_packets == 150
+        assert path.batches == 1 + len(packets[150:])
+        assert path.batch_packets == len(packets)
 
     def test_batch_delivers(self):
         path, listener = self.build_path()

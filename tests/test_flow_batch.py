@@ -81,16 +81,6 @@ class TestDispatchBatchTruncationFix:
 
 
 class TestOtherBatchSeamsShapeChecks:
-    def test_route_batch_mismatch(self):
-        from repro.edge.ecmp import ECMPRouter
-
-        router = ECMPRouter(["s0", "s1"])
-        packets = make_packets(4)
-        with pytest.raises(BatchShapeError) as excinfo:
-            router.route_batch(packets, flow_hashes=[1, 2, 3])
-        assert excinfo.value.lengths == {"packets": 4, "flow_hashes": 3}
-        assert router.stats.routed == 0
-
     def test_connect_batch_mismatch(self):
         from repro.experiments.flow_perf import build_flow_world
         from repro.web.http import HTTPVersion
