@@ -22,6 +22,11 @@ those:
                          floors sit below the measured ratios so a stage
                          silently regressing to slower-than-scalar fails)
 
+``edge_cache``
+    ``fetch_speedup``  — warm ``DistributedCache.fetch`` (home-node
+                         directory) / a ``home_node`` + ``node.get`` loop
+                         over the same keys (``bench_edge_cache``; floor 3×)
+
 ``readdressing``
     ``drill_vs_soak``  — fetch throughput with a staged-shrink campaign
                          running / the same world under plain chaos
@@ -82,6 +87,11 @@ GATED: dict[str, dict[str, dict[str, float]]] = {
     # matters — the campaign engine's per-tick bookkeeping must never
     # come close to doubling the cost of serving.
     "readdressing": {"drill_vs_soak": {"floor": 0.5, "tolerance": 0.50}},
+    # Edge-cache directory (bench_edge_cache): warm fetch / per-request HRW
+    # argmax over 8 nodes.  Measured 15-23x run to run on a 2-CPU VM; the
+    # 3x floor is the claim — a warm fetch must never fall back to running
+    # the argmax.
+    "edge_cache": {"fetch_speedup": {"floor": 3.0, "tolerance": 0.60}},
 }
 DEFAULT_TOLERANCE = 0.20
 

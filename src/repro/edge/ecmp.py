@@ -33,11 +33,17 @@ class UnknownServerError(LookupError):
     """Membership change targeting a server this ECMP group never had."""
 
 
+def _server_seed(server: str) -> int:
+    """A server's half of its HRW weight: depends on the name alone, so
+    the router computes it once per membership change, not per flow."""
+    return fnv1a64(server.encode())
+
+
 def _hrw_weight(server: str, fh: int) -> int:
     """Combine server identity with the flow hash.  The splitmix64
     avalanche matters: plain FNV of similar server names ("s7"/"s8")
     gives correlated weights that skew the HRW argmax."""
-    return splitmix64(fnv1a64(server.encode()) ^ fh)
+    return splitmix64(_server_seed(server) ^ fh)
 
 
 @dataclass(slots=True)
@@ -58,18 +64,21 @@ class EcmpStats:
 class ECMPRouter:
     """Rendezvous-hash router over a named server set.
 
-    ``weight_fn`` is injectable (tests use degenerate weights to exercise
-    tie handling deterministically); production callers take the default
-    :func:`_hrw_weight`.
+    A server's weight for a flow is ``splitmix64(seed ^ flow_hash)``
+    (:func:`_hrw_weight`); each seed is computed once, when the server
+    joins, so a pick hashes no names.  ``seed_fn`` is injectable (tests use
+    degenerate seeds to make every flow a tie); production callers take
+    the default :func:`_server_seed`.
     """
 
     def __init__(
         self,
         servers: list[str] | None = None,
-        weight_fn: Callable[[str, int], int] = _hrw_weight,
+        seed_fn: Callable[[str], int] = _server_seed,
     ) -> None:
-        self._servers: list[str] = []
-        self._weight = weight_fn
+        #: server -> seed, in the order members joined.
+        self._seeds: dict[str, int] = {}
+        self._seed_fn = seed_fn
         self.stats = EcmpStats()
         for s in servers or []:
             self.add_server(s)
@@ -77,9 +86,9 @@ class ECMPRouter:
     # -- membership ---------------------------------------------------------
 
     def add_server(self, server: str) -> None:
-        if server in self._servers:
+        if server in self._seeds:
             raise ValueError(f"server {server!r} already in ECMP group")
-        self._servers.append(server)
+        self._seeds[server] = self._seed_fn(server)
 
     def remove_server(self, server: str) -> None:
         """Drop a member; raises :class:`UnknownServerError` if absent.
@@ -88,19 +97,18 @@ class ECMPRouter:
         callers draining servers during failover, and easy to mistake for
         a bad argument elsewhere.  Stats are untouched either way:
         ``EcmpStats`` is routing history, not membership."""
-        try:
-            self._servers.remove(server)
-        except ValueError:
+        if server not in self._seeds:
             raise UnknownServerError(
                 f"server {server!r} not in ECMP group "
-                f"(members: {', '.join(self._servers) or 'none'})"
-            ) from None
+                f"(members: {', '.join(self._seeds) or 'none'})"
+            )
+        del self._seeds[server]
 
     def servers(self) -> list[str]:
-        return list(self._servers)
+        return list(self._seeds)
 
     def __len__(self) -> int:
-        return len(self._servers)
+        return len(self._seeds)
 
     # -- routing -------------------------------------------------------------
 
@@ -118,10 +126,12 @@ class ECMPRouter:
         (drain and restore, in failover terms) would reshuffle tied flows
         that should have stayed put.
         """
-        if not self._servers:
+        if not self._seeds:
             raise RuntimeError("ECMP group is empty")
-        weight = self._weight
-        return max(self._servers, key=lambda s: (weight(s, flow_hash_value), s))
+        return max(
+            (splitmix64(seed ^ flow_hash_value), server)
+            for server, seed in self._seeds.items()
+        )[1]
 
     def route(self, packet: Packet, flow_hash_value: int | None = None) -> str:
         """Pick the server for a packet's flow; deterministic per 5-tuple.

@@ -245,14 +245,20 @@ def watch_speakers(
 def watch_cdn(registry: MetricsRegistry, cdn: "CDN", prefix: str = "cdn") -> None:
     """Attach every edge-side surface of a deployment in one call.
 
-    Per datacenter: the ECMP router and the per-server sk_lookup programs
-    and edge-cache node stats; plus one rollup collector for request and
+    Per datacenter: the ECMP router, the per-server sk_lookup programs
+    and edge-cache node stats, and the edge cache's home-node directory
+    size (``edge_cache.directory_entries``, a state gauge bounded by the
+    keys the nodes hold); plus one rollup collector for request and
     connection totals.
     """
     for dc_name in sorted(cdn.datacenters):
         dc = cdn.datacenters[dc_name]
         watch_ecmp(registry, f"{prefix}.{dc_name}.ecmp", dc.ecmp)
         watch_datacenter_load(registry, f"{prefix}.{dc_name}.load", dc)
+        registry.attach(
+            f"{prefix}.{dc_name}.edge_cache",
+            lambda dc=dc: {"directory_entries": dc.cache.directory_size()},
+        )
         for server_name in sorted(dc.servers):
             server = dc.servers[server_name]
 

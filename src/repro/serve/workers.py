@@ -22,6 +22,7 @@ from simulated time.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import selectors
 import signal
@@ -142,6 +143,11 @@ def _worker_main(
     — each worker owns its state (no shared interpreter objects), and the
     per-worker seed keeps every worker's policy RNG stream independent yet
     reproducible.
+
+    The parent forks with SIGTERM blocked (:func:`_sigterm_blocked`), so a
+    stop that arrives before the handler below is installed stays pending
+    and is delivered to it on unblock: the worker still drains and counts
+    itself, rather than dying by the default action.
     """
     stopping = False
 
@@ -151,6 +157,7 @@ def _worker_main(
 
     signal.signal(signal.SIGTERM, _on_sigterm)
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C belongs to the parent
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
 
     core = ProtocolCore(builder(seed + index), pop=pop)
     selector = selectors.DefaultSelector()
@@ -274,6 +281,17 @@ def _worker_main(
 # -- the parent-side pool -------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _sigterm_blocked():
+    """Block SIGTERM in the calling thread; forked children inherit the
+    mask, and :func:`_worker_main` unblocks once its handler is in place."""
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
 class WorkerPool:
     """Arbiter for one generation (or more, mid-repoint) of serve workers.
 
@@ -329,16 +347,17 @@ class WorkerPool:
         self._generation_counter += 1
         generation = self._generation_counter
         procs = []
-        for index, (udp, tcp) in enumerate(pairs):
-            proc = self._ctx.Process(
-                target=_worker_main,
-                args=(index, udp, tcp, builder, seed, counters.row(index),
-                      self.pop, self.drain_s),
-                name=f"serve-g{generation}-w{index}",
-                daemon=True,
-            )
-            proc.start()
-            procs.append(proc)
+        with _sigterm_blocked():
+            for index, (udp, tcp) in enumerate(pairs):
+                proc = self._ctx.Process(
+                    target=_worker_main,
+                    args=(index, udp, tcp, builder, seed, counters.row(index),
+                          self.pop, self.drain_s),
+                    name=f"serve-g{generation}-w{index}",
+                    daemon=True,
+                )
+                proc.start()
+                procs.append(proc)
         # The children hold the only references that matter now; keeping
         # parent-side copies open would hold the reuseport group hostage
         # after the workers exit.

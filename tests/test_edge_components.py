@@ -1,10 +1,12 @@
 """ECMP router, L4 load balancer, distributed cache, customer registry."""
 
+import random
+
 import pytest
 
 from repro.edge.cache import DistributedCache
 from repro.edge.customers import AccountType, Customer, CustomerRegistry
-from repro.edge.ecmp import ECMPRouter, UnknownServerError
+from repro.edge.ecmp import ECMPRouter, UnknownServerError, _hrw_weight
 from repro.edge.l4lb import L4LoadBalancer
 from repro.netsim.addr import parse_address, parse_prefix
 from repro.netsim.packet import FiveTuple, Packet, Protocol
@@ -90,19 +92,19 @@ class TestECMP:
     def test_weight_ties_break_on_name_not_list_position(self):
         """Bugfix: HRW ties used to break on list position (``max`` keeps
         the earliest element), so insertion order leaked into routing.  A
-        degenerate weight function makes every flow a tie: the winner must
+        degenerate seed function makes every flow a tie: the winner must
         be the max server *name*, whatever order members joined in."""
-        tied = lambda server, fh: 0  # noqa: E731
+        tied = lambda server: 0  # noqa: E731
         for order in (["a", "b", "c"], ["c", "b", "a"], ["b", "c", "a"]):
-            router = ECMPRouter(list(order), weight_fn=tied)
+            router = ECMPRouter(list(order), seed_fn=tied)
             assert router.route(packet(sport=7)) == "c", order
 
     def test_tied_flows_stable_across_drain_and_restore(self):
         """Drain a server and re-add it (failover's remove-then-restore):
         with position-dependent tie-breaks the restored member re-enters at
         the tail and every tied flow silently rehomes."""
-        tied = lambda server, fh: 0  # noqa: E731
-        router = ECMPRouter(["a", "b", "c"], weight_fn=tied)
+        tied = lambda server: 0  # noqa: E731
+        router = ECMPRouter(["a", "b", "c"], seed_fn=tied)
         before = router.route(packet(sport=9))
         router.remove_server("a")
         router.add_server("a")  # now last in the member list
@@ -127,6 +129,24 @@ class TestECMP:
         router.add_server("s3")  # restored at a different list position
         after = {f.tuple5.src_port: router.route(f) for f in flows}
         assert after == original  # every flow back where it started
+
+    def test_choose_matches_weight_oracle_across_membership_changes(self):
+        """The per-member seed table must give exactly the argmax of
+        ``(_hrw_weight(server, fh), server)`` over the current members,
+        before and after every join and leave."""
+        rng = random.Random(13)
+        hashes = [rng.getrandbits(64) for _ in range(10_000)]
+        router = ECMPRouter([f"s{i}" for i in range(8)])
+        changes = [("remove", "s3"), ("add", "s8"), ("remove", "s0"),
+                   ("add", "s3"), ("add", "lhr-srv00"), ("remove", "s8")]
+        for change in [None, *changes]:
+            if change is not None:
+                kind, server = change
+                (router.add_server if kind == "add" else router.remove_server)(server)
+            members = router.servers()
+            for fh in hashes:
+                expected = max(members, key=lambda s: (_hrw_weight(s, fh), s))
+                assert router.choose(fh) == expected, (change, fh)
 
 
 class TestL4LB:

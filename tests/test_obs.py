@@ -207,6 +207,24 @@ class TestLegacySurfaces:
         stats.hits += 10
         assert reg.snapshot()["counters"]["cache.hits"] == 10
 
+    def test_watch_cdn_reports_edge_cache_directory_size(self):
+        """State gauge for "what is growing?": each PoP's home-node
+        directory, never larger than what its cache nodes hold."""
+        from repro.deploy import Deployment, DeploymentConfig
+
+        dep = Deployment.build(DeploymentConfig(num_hostnames=20, clients_per_region=1))
+        reg = MetricsRegistry()
+        dep.cdn.attach_observability(registry=reg)
+        client = dep.new_client("eyeball:us:0")
+        for i in range(5):
+            client.fetch(dep.universe.site(i))
+        counters = reg.snapshot()["counters"]
+        for name, dc in dep.cdn.datacenters.items():
+            entries = counters[f"cdn.{name}.edge_cache.directory_entries"]
+            assert entries <= sum(len(node) for node in dc.cache.nodes().values())
+        assert sum(counters[f"cdn.{name}.edge_cache.directory_entries"]
+                   for name in dep.cdn.datacenters) == 5
+
 
 class TestExporters:
     def make_snapshot(self):

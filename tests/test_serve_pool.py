@@ -167,3 +167,13 @@ class TestRepointAndDrain:
         snap = pool.snapshot()
         assert snap["drained"] == 2
         assert snap["queries"] >= 1
+
+    def test_stop_right_after_start_still_drains_every_worker(self):
+        """Bugfix: a SIGTERM that reached a freshly forked worker before it
+        had installed its handler killed it outright, so it never counted
+        itself drained.  The parent now forks with SIGTERM blocked."""
+        for run in range(20):
+            pool = build_pool(workers=2, drain_s=2.0).start()
+            pool.stop()
+            assert pool.alive() == 0
+            assert pool.snapshot()["drained"] == 2, f"run {run}"
