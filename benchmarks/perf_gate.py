@@ -27,6 +27,12 @@ those:
                          directory) / a ``home_node`` + ``node.get`` loop
                          over the same keys (``bench_edge_cache``; floor 3×)
 
+``policy_index``
+    ``flat_ratio``     — ``PolicyEngine.evaluate`` cost with 1 policy /
+                         with 1,000 per-PoP policies, match last
+                         (``bench_policy_index``; floor 0.5: 1,000
+                         policies cost at most twice one)
+
 ``readdressing``
     ``drill_vs_soak``  — fetch throughput with a staged-shrink campaign
                          running / the same world under plain chaos
@@ -92,6 +98,11 @@ GATED: dict[str, dict[str, dict[str, float]]] = {
     # 3x floor is the claim — a warm fetch must never fall back to running
     # the argmax.
     "edge_cache": {"fetch_speedup": {"floor": 3.0, "tolerance": 0.60}},
+    # Policy index (bench_policy_index): evaluate cost with 1 policy / with
+    # 1,000 (match last).  Flat by construction, so the ratio sits near 1.0
+    # and swings with scheduler noise; the 0.5 floor is the claim — a
+    # return to a per-policy scan would read about 0.01.
+    "policy_index": {"flat_ratio": {"floor": 0.5, "tolerance": 0.50}},
 }
 DEFAULT_TOLERANCE = 0.20
 

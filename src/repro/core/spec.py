@@ -150,19 +150,19 @@ def compile_policy(spec: dict) -> Policy:
     bad_keys = set(raw_match) - _MATCH_KEYS
     if bad_keys:
         raise PolicySpecError(f"policy {name!r}: unknown match keys {sorted(bad_keys)}")
-    match = {key: set(values) for key, values in raw_match.items()}
 
     strategy = _build_strategy(spec.get("strategy", "random"), spec.get("params", {}))
     try:
         return Policy(
             name=name,
             pool=pool,
-            match=match,
+            match=raw_match,
             strategy=strategy,
             ttl=int(spec.get("ttl", 30)),
             priority=int(spec.get("priority", 100)),
         )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
+        # TypeError: a match value that is a string or not a collection.
         raise PolicySpecError(f"policy {name!r}: {exc}") from exc
 
 

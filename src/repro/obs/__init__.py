@@ -17,6 +17,7 @@ from .adapters import (
     watch_ecmp,
     watch_fault_timeline,
     watch_lookup_path,
+    watch_policy_engine,
     watch_resolver_stats,
     watch_serve,
     watch_sklookup,
@@ -55,6 +56,7 @@ __all__ = [
     "time_lookup_path",
     "DISPATCH_LATENCY_BUCKETS",
     "watch_fault_timeline",
+    "watch_policy_engine",
     "watch_cache_node_stats",
     "watch_datacenter_load",
     "watch_cdn",

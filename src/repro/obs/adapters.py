@@ -17,11 +17,14 @@ ResolverStats``             nxdomains, retries, upstream_failures,
 ``sockets.sklookup`` stats  runs, redirects, drops, fallthroughs,
                             rules_removed, rules (gauge-like), map_size
 ``faults.FaultTimeline``    events, by_kind.<kind>, by_phase.<phase>
+``core.policy.              policies, evaluations, matches, index_builds,
+PolicyEngine``              index_entries (gauge)
 ==========================  =============================================
 
 ``watch_cdn`` walks a whole :class:`~repro.edge.cdn.CDN` and attaches the
 edge-side surfaces (ECMP, sk_lookup, edge caches, traffic) per
-datacenter/server, so one call makes an entire deployment observable.
+datacenter/server, plus each policy engine the PoPs answer DNS from, so
+one call makes an entire deployment observable.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .metrics import MetricsRegistry
 if TYPE_CHECKING:  # import cycles: obs must stay importable from every layer
     from collections.abc import Callable
 
+    from ..core.policy import PolicyEngine
     from ..dns.cache import CacheStats
     from ..dns.resolver import ResolverStats
     from ..edge.cache import CacheNodeStats
@@ -56,6 +60,7 @@ __all__ = [
     "watch_lookup_path",
     "time_lookup_path",
     "watch_fault_timeline",
+    "watch_policy_engine",
     "watch_cache_node_stats",
     "watch_datacenter_load",
     "watch_flow_engine",
@@ -178,6 +183,24 @@ def watch_fault_timeline(registry: MetricsRegistry, prefix: str, timeline: "Faul
     registry.attach(prefix, collect)
 
 
+def watch_policy_engine(registry: MetricsRegistry, prefix: str, engine: "PolicyEngine") -> None:
+    """Policy count, evaluation and match totals, and the first-match
+    index: ``index_entries`` is a state gauge (0 while the index awaits
+    its rebuild after an add/remove), ``index_builds`` how often it was
+    rebuilt."""
+
+    def collect() -> dict[str, int | float]:
+        return {
+            "policies": len(engine),
+            "evaluations": engine.evaluations,
+            "matches": engine.matches,
+            "index_entries": engine.index_size(),
+            "index_builds": engine.index_builds,
+        }
+
+    registry.attach(prefix, collect)
+
+
 def watch_datacenter_load(
     registry: MetricsRegistry, prefix: str, dc: "Datacenter"
 ) -> None:
@@ -249,10 +272,20 @@ def watch_cdn(registry: MetricsRegistry, cdn: "CDN", prefix: str = "cdn") -> Non
     and edge-cache node stats, and the edge cache's home-node directory
     size (``edge_cache.directory_entries``, a state gauge bounded by the
     keys the nodes hold); plus one rollup collector for request and
-    connection totals.
+    connection totals.  Each distinct policy engine behind a PoP's
+    :class:`~repro.core.authoritative.PolicyAnswerSource` is watched once,
+    as ``<prefix>.policy.<dc>`` for the first datacenter (in name order)
+    that answers from it.
     """
+    from ..core.authoritative import PolicyAnswerSource
+
+    watched_engines: set[int] = set()
     for dc_name in sorted(cdn.datacenters):
         dc = cdn.datacenters[dc_name]
+        source = dc.dns.source if dc.dns is not None else None
+        if isinstance(source, PolicyAnswerSource) and id(source.engine) not in watched_engines:
+            watched_engines.add(id(source.engine))
+            watch_policy_engine(registry, f"{prefix}.policy.{dc_name}", source.engine)
         watch_ecmp(registry, f"{prefix}.{dc_name}.ecmp", dc.ecmp)
         watch_datacenter_load(registry, f"{prefix}.{dc_name}.load", dc)
         registry.attach(

@@ -46,6 +46,25 @@ class TestPolicyMatching:
         with pytest.raises(ValueError):
             Policy("bad", V4_POOL, ttl=-1)
 
+    @pytest.mark.parametrize("value", ["iad", b"iad"], ids=["str", "bytes"])
+    def test_string_match_value_rejected(self, value):
+        """A bare string is not a value set: set("iad") would match PoP "i"."""
+        with pytest.raises(TypeError, match="'pop'"):
+            Policy("bad", V4_POOL, match={"pop": value})
+
+    def test_match_is_frozen_after_construction(self):
+        values = {"iad"}
+        policy = Policy("p", V4_POOL, match={"pop": values})
+        values.add("lhr")  # the caller's set is copied, not shared
+        assert not policy.matches(attrs(pop="lhr"))
+        with pytest.raises(TypeError):
+            policy.match["pop"] = frozenset({"lhr"})
+        with pytest.raises(AttributeError):
+            policy.match["pop"].add("lhr")
+        with pytest.raises(AttributeError):
+            policy.match = {}
+        assert policy.match == {"pop": frozenset({"iad"})}
+
 
 class TestPolicyEngine:
     def test_first_match_by_priority(self):

@@ -64,6 +64,12 @@ class TestCompile:
         with pytest.raises(PolicySpecError, match="unknown match keys"):
             compile_policy(spec(match={"weather": ["sunny"]}))
 
+    @pytest.mark.parametrize("value", ["iad", b"iad"], ids=["str", "bytes"])
+    def test_string_match_value_rejected(self, value):
+        """A bare string is not a value set: set("iad") would match PoP "i"."""
+        with pytest.raises(PolicySpecError, match="'pop'"):
+            compile_policy(spec(match={"pop": value}))
+
     def test_bad_prefix_rejected(self):
         with pytest.raises(PolicySpecError):
             compile_policy(spec(pool={"advertised": "not-a-prefix"}))

@@ -225,6 +225,34 @@ class TestLegacySurfaces:
         assert sum(counters[f"cdn.{name}.edge_cache.directory_entries"]
                    for name in dep.cdn.datacenters) == 5
 
+    def test_watch_cdn_watches_each_policy_engine_once(self):
+        """Every PoP answers from the deployment's one engine: one
+        collector, whose index gauge stays within the named-values bound
+        however many queries ran."""
+        from repro.deploy import Deployment, DeploymentConfig
+
+        dep = Deployment.build(DeploymentConfig(num_hostnames=20, clients_per_region=1))
+        reg = MetricsRegistry()
+        dep.cdn.attach_observability(registry=reg)
+        first = sorted(dep.cdn.datacenters)[0]
+        prefix = f"cdn.policy.{first}"
+        assert [c for c in reg.snapshot()["counters"] if c.startswith("cdn.policy.")] == [
+            f"{prefix}.{name}" for name in
+            ("evaluations", "index_builds", "index_entries", "matches", "policies")
+        ]
+        client = dep.new_client("eyeball:us:0")
+        for i in range(5):
+            client.fetch(dep.universe.site(i))
+        counters = reg.snapshot()["counters"]
+        assert counters[f"{prefix}.policies"] == len(dep.engine)
+        assert counters[f"{prefix}.evaluations"] == dep.engine.evaluations > 0
+        assert counters[f"{prefix}.matches"] == dep.engine.matches
+        assert counters[f"{prefix}.index_builds"] == 1
+        named = [set().union(*(p.match.get(key, ()) for p in dep.engine.policies()))
+                 for key in ("pop", "account_type")]
+        bound = (len(named[0]) + 1) * (len(named[1]) + 1) * 2
+        assert 0 < counters[f"{prefix}.index_entries"] <= bound
+
 
 class TestExporters:
     def make_snapshot(self):
